@@ -136,7 +136,20 @@ class _OracleSchedulerForService(OracleSkylineScheduler):
         self.obs = NOOP_OBS
 
 
-def _e2e_config(incremental_gain: bool) -> ExperimentConfig:
+class _OracleGainEvaluator:
+    """The naive O(window) refold with the incremental evaluator's surface."""
+
+    def __init__(self, model: GainModel, history: DataflowHistory) -> None:
+        self.model = model
+        self.history = history
+
+    def faded_sums(
+        self, index_name: str, now: float, fade_quanta: float | None = None
+    ) -> tuple[float, float, int]:
+        return oracle_faded_sums(self.model, self.history, index_name, now, fade_quanta)
+
+
+def _e2e_config() -> ExperimentConfig:
     return ExperimentConfig(
         total_time_s=30 * 60.0,
         max_skyline=2,
@@ -144,7 +157,6 @@ def _e2e_config(incremental_gain: bool) -> ExperimentConfig:
         max_candidates=40,
         max_queued_gain=10,
         seed=5,
-        incremental_gain=incremental_gain,
     )
 
 
@@ -158,14 +170,15 @@ def _run_service(config: ExperimentConfig) -> tuple[float, ServiceMetrics]:
 
 
 def _bench_e2e(monkeypatch):
-    optimised_s, optimised_metrics = _run_service(_e2e_config(incremental_gain=True))
+    optimised_s, optimised_metrics = _run_service(_e2e_config())
 
     # Patch the pre-optimisation stack back in: oracle scheduler, oracle
     # knapsack (no memo, per-node suffix rebuilds), naive gain refold.
     with monkeypatch.context() as patch:
         patch.setattr("repro.core.service.SkylineScheduler", _OracleSchedulerForService)
         patch.setattr("repro.interleave.lp.solve_knapsack", oracle_solve_knapsack)
-        naive_s, naive_metrics = _run_service(_e2e_config(incremental_gain=False))
+        patch.setattr("repro.tuning.tuner.IncrementalGainEvaluator", _OracleGainEvaluator)
+        naive_s, naive_metrics = _run_service(_e2e_config())
 
     # The exact scheduler optimisations and the knapsack memo preserve
     # results bit for bit; the incremental gain path is tolerance-equal,

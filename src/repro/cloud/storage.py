@@ -80,8 +80,11 @@ class CloudStorage:
             raise TransientStorageError("put", path, owner=self.owner)
         crash_point("storage.pre_put")
         self._advance(time)
-        if path in self._objects:
-            self._objects[path].deleted_at = time
+        previous = self._objects.get(path)
+        if previous is not None and previous.live:
+            # Overwrite ends the old version here; one already deleted
+            # keeps its own end, or its dead interval would be re-billed.
+            previous.deleted_at = time
         version = self._versions.get(path, -1) + 1
         self._versions[path] = version
         obj = StoredObject(path=path, size_mb=size_mb, created_at=time, version=version)

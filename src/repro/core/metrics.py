@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.cloud.pricing import PAPER_PRICING
 from repro.obs import MetricsRegistry
 
 
@@ -51,7 +52,8 @@ class ServiceMetrics:
     """Everything a service run reports.
 
     ``compute_dollars`` is the total leased-quanta bill of all executed
-    dataflows; ``storage_dollars`` the integral of index bytes over time.
+    dataflows at the run's ``quantum_price``; ``storage_dollars`` the
+    integral of index bytes over time.
 
     The fault-tolerance counters are *views* onto the metrics registry:
     reads and ``+=`` writes go through ``registry`` so one store backs
@@ -66,6 +68,8 @@ class ServiceMetrics:
     indexes_created: int = 0
     indexes_deleted: int = 0
     horizon_s: float = 0.0
+    #: Dollars per leased quantum (the run's ``PricingModel.quantum_price``).
+    quantum_price: float = PAPER_PRICING.quantum_price
     registry: MetricsRegistry = field(
         default_factory=MetricsRegistry, repr=False, compare=False
     )
@@ -221,7 +225,7 @@ class ServiceMetrics:
 
     @property
     def compute_dollars(self) -> float:
-        return sum(o.money_quanta for o in self.finished()) * 0.1
+        return self.compute_quanta() * self.quantum_price
 
     def compute_quanta(self) -> int:
         return sum(o.money_quanta for o in self.finished())
@@ -234,12 +238,12 @@ class ServiceMetrics:
     def total_dollars(self) -> float:
         return self.compute_dollars + self.storage_dollars()
 
-    def cost_per_dataflow_quanta(self, quantum_price: float = 0.1) -> float:
+    def cost_per_dataflow_quanta(self) -> float:
         """Average total cost per finished dataflow, in quanta units."""
         finished = self.num_finished
         if finished == 0:
             return 0.0
-        return self.total_dollars() / quantum_price / finished
+        return self.total_dollars() / self.quantum_price / finished
 
     def avg_makespan_quanta(self) -> float:
         finished = self.finished()

@@ -242,7 +242,6 @@ class QaaSService:
             injector=self.injector,
             retry=self.retry_policy,
             obs=self.obs,
-            vectorized=config.vectorized,
         )
         self._next_update = (
             config.update_interval_s if config.update_interval_s > 0 else float("inf")
@@ -264,8 +263,6 @@ class QaaSService:
             scheduler=self.scheduler,
             interleaver=interleaver,
             max_candidates=config.max_candidates,
-            incremental_gain=config.incremental_gain,
-            vectorized=config.vectorized,
             obs=self.obs,
         )
         # ROI accounting and the regression watchdog are opt-in: with
@@ -868,6 +865,7 @@ class QaaSService:
         metrics = ServiceMetrics(
             strategy=self.strategy.value,
             horizon_s=self.config.total_time_s,
+            quantum_price=self.pricing.quantum_price,
             # Enabled runs share the observation's registry so the fault
             # counters land in --metrics-out; disabled runs still need a
             # real registry behind the view properties (a NullRegistry

@@ -249,9 +249,10 @@ class InvariantMonitor:
                     "money-conservation", t, f"negative leased quanta {quanta}"
                 )
             )
-        # compute_dollars is defined as leased quanta × the $0.10 quantum
-        # price — re-derive it independently from the outcomes.
-        expected = quanta * 0.1
+        # compute_dollars is defined as leased quanta × the configured
+        # quantum price — re-derive it from the outcomes and the config,
+        # not from the price the metrics object carries.
+        expected = quanta * self.service.config.pricing.quantum_price
         if not _close(metrics.compute_dollars, expected):
             out.append(
                 InvariantViolation(

@@ -95,7 +95,7 @@ class IncrementalGainEvaluator:
     ``(S_t, S_m, samples_in_window)`` — exactly the aggregates
     :meth:`repro.tuning.gain.GainModel.evaluate_from_sums` consumes.
     Live (running/queued) dataflow contributions are *not* included;
-    the tuner adds them at dc(0) = 1 on top, mirroring the naive path.
+    the tuner adds them at dc(0) = 1 on top, as the naive fold would.
 
     Cache behaviour is observable: ``stats.hits`` counts O(δ) advances,
     ``stats.misses`` counts full rebuilds, and ``stats.invalidations``

@@ -8,7 +8,10 @@ for two different seeds, per the PR acceptance criterion.
 
 from __future__ import annotations
 
-from repro.core.config import ExperimentConfig
+from dataclasses import replace
+
+from repro import run_experiment
+from repro.core.config import ExperimentConfig, default_config
 from repro.core.metrics import ServiceMetrics
 from repro.core.service import QaaSService, Strategy
 from repro.dataflow.client import ArrivalEvent, build_workload
@@ -55,6 +58,16 @@ def test_same_seed_runs_are_byte_identical() -> None:
 
 def test_second_seed_is_also_repeatable() -> None:
     a, b = run_once(11), run_once(11)
+    assert fingerprint(a) == fingerprint(b)
+
+
+def test_default_config_gain_run_is_repeatable() -> None:
+    # The public entry point on the default config (Poisson arrivals,
+    # seed 7, four quanta), not the hand-built montage stream above.
+    config = replace(default_config(), seed=7, total_time_s=4 * 60.0)
+    a = run_experiment(Strategy.GAIN, config=config)
+    b = run_experiment(Strategy.GAIN, config=config)
+    assert a.outcomes
     assert fingerprint(a) == fingerprint(b)
 
 

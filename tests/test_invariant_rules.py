@@ -13,10 +13,14 @@ test asserts before planting its violation.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+from repro import Strategy, prepare_run
+from repro.core.config import default_config
+from repro.core.metrics import ServiceMetrics
 from repro.explore.scenarios import build_scenario
 from repro.recovery.invariants import InvariantError, InvariantMonitor
 
@@ -157,6 +161,28 @@ def test_money_conservation_detects_negative_quanta(run, monitor):
 def test_money_conservation_detects_dollar_mismatch(run, monitor):
     run.state.metrics = _FakeMetrics(quanta=[3], compute_dollars=1.0)
     assert names(monitor, run) == ["money-conservation"]
+
+
+def test_money_conservation_detects_hard_coded_quantum_price(monkeypatch):
+    base = default_config()
+    config = replace(
+        base,
+        seed=3,
+        total_time_s=10 * 60.0,
+        pricing=replace(base.pricing, quantum_price=0.20),
+    )
+    service, events = prepare_run(Strategy.GAIN, "phase", config=config)
+    state = service.begin_run(events)
+    while service.step(state):
+        pass
+    assert state.metrics.compute_quanta() > 0
+    monitor = InvariantMonitor(service)
+    t = service.storage.accounted_until
+    assert monitor.check(state, t) == []
+    monkeypatch.setattr(
+        ServiceMetrics, "compute_dollars", property(lambda m: m.compute_quanta() * 0.10)
+    )
+    assert [v.name for v in monitor.check(state, t)] == ["money-conservation"]
 
 
 def test_money_conservation_detects_negative_storage_integral(run, monitor):

@@ -1,7 +1,11 @@
 """Tests for the service metrics aggregation."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro import Strategy, run_experiment
+from repro.core.config import default_config
 from repro.core.metrics import DataflowOutcome, IndexSnapshot, ServiceMetrics
 
 
@@ -82,3 +86,19 @@ class TestServiceMetrics:
             outcome("b", started=60.0, finished=120.0),
         ]
         assert m.avg_makespan_quanta() == pytest.approx(1.5)
+
+
+def test_compute_bill_uses_the_configured_quantum_price():
+    base = default_config()
+    config = replace(
+        base,
+        seed=3,
+        total_time_s=10 * 60.0,
+        pricing=replace(base.pricing, quantum_price=0.20),
+    )
+    m = run_experiment(Strategy.GAIN, config=config)
+    assert m.compute_quanta() > 0
+    assert m.compute_dollars == m.compute_quanta() * 0.20
+    assert m.cost_per_dataflow_quanta() == pytest.approx(
+        m.total_dollars() / 0.20 / m.num_finished
+    )

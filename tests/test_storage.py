@@ -64,6 +64,16 @@ class TestBilling:
         cost = storage.storage_cost(until=10 * 60.0)
         assert cost == pytest.approx(0.1 + 0.05)
 
+    def test_reput_after_delete_bills_only_live_spans(self, storage):
+        # Live 0-10 and 20-30: the deleted version must keep its own end.
+        storage.put("t/a", 1.0, time=0.0)
+        storage.delete("t/a", time=10.0)
+        storage.put("t/a", 1.0, time=20.0)
+        storage.storage_cost(until=30.0)
+        assert storage.accounted_mb_seconds == pytest.approx(20.0)
+        assert storage.recompute_mb_seconds() == pytest.approx(20.0)
+        assert storage.snapshot(15.0) == {}
+
     def test_cost_is_monotone_in_time(self, storage):
         storage.put("t/a", 10.0, time=0.0)
         c1 = storage.storage_cost(until=60.0)
